@@ -1,6 +1,7 @@
-//! AES-GCM software datapath throughput (§5, §7.2).
+//! AES-GCM datapath throughput (§5, §7.2).
 //!
-//! Measures the table-driven fast path (`AesGcm`) against the seed's
+//! Measures `AesGcm` (the hardware backend on hosts with AES-NI and
+//! PCLMULQDQ, the portable T-table one elsewhere) against the seed's
 //! byte-at-a-time scalar implementation (`scalar::ScalarAesGcm`, kept as
 //! the differential oracle) at the three sizes that matter to the
 //! simulated PCIe-SC: one 4 KiB chunk, a 64 KiB descriptor, and a 1 MiB
@@ -75,8 +76,9 @@ fn bench_scalar_baseline(c: &mut Criterion) {
 }
 
 fn bench_key_setup(c: &mut Criterion) {
-    // Per-key cost of expanding the AES schedule and building the 64 KiB
-    // GHASH table — the price `CryptoEngine`'s fingerprint cache amortizes.
+    // Per-key cost of expanding the AES schedule and the GHASH key
+    // powers (plus 32 KiB of tables on the portable backend) — the price
+    // `CryptoEngine`'s fingerprint cache amortizes.
     let key = Key::Aes256([0x24; 32]);
     c.bench_function("aes_gcm_key_setup", |b| {
         b.iter(|| std::hint::black_box(AesGcm::new(&key)))

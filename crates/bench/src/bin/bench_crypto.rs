@@ -1,8 +1,19 @@
-//! Crypto datapath benchmark runner: measures AES-GCM seal/open
-//! throughput for the table-driven fast path and the scalar baseline,
-//! then writes machine-readable results to `BENCH_crypto.json` so the
-//! performance trajectory of the software crypto datapath is tracked
-//! from PR to PR.
+//! Crypto datapath benchmark runner: measures AES-GCM seal/open and
+//! SHA-256 throughput on every backend, then writes machine-readable
+//! results to `BENCH_crypto.json` so the performance trajectory of the
+//! crypto datapath is tracked from PR to PR.
+//!
+//! Rows, at 4 KiB / 64 KiB / 1 MiB:
+//!
+//! * AES-GCM `seal` and `open` on `hw` (AES-NI + PCLMULQDQ, the backend
+//!   `AesGcm::new` picks where the host supports it), `table` (the
+//!   portable T-table backend) and `scalar` (the seed's byte-at-a-time
+//!   oracle);
+//! * `sha256` on `hw` (SHA-NI) and `portable` (the FIPS-180-4 round
+//!   loop).
+//!
+//! Each row is the median and quartiles of [`REPEATS`] timed batches.
+//! The hardware rows are omitted on hosts without the features.
 //!
 //! Run with `cargo run --release -p ccai-bench --bin bench_crypto`.
 //! Pass an output path as the first argument to override the default.
@@ -17,7 +28,7 @@ use ccai_core::adaptor::seal_chunks_striped;
 use ccai_core::system::{ConfidentialSystem, SystemMode};
 use ccai_core::TelemetrySnapshot;
 use ccai_crypto::scalar::ScalarAesGcm;
-use ccai_crypto::{AesGcm, Key};
+use ccai_crypto::{AesGcm, Backend, Key, Sha256};
 use ccai_trust::keymgmt::StreamId;
 use ccai_xpu::XpuSpec;
 use std::fmt::Write as _;
@@ -26,108 +37,147 @@ use std::time::Instant;
 const SIZES: [(&str, usize); 3] =
     [("4KiB", 4 * 1024), ("64KiB", 64 * 1024), ("1MiB", 1024 * 1024)];
 
-/// One measurement: `iters` runs of an operation over `bytes` each.
+/// Timed batches per row.
+const REPEATS: usize = 7;
+
+/// Median and quartiles of one row's per-batch figures.
+#[derive(Debug, Clone, Copy)]
+struct Spread {
+    q1: f64,
+    median: f64,
+    q3: f64,
+}
+
+impl Spread {
+    /// Nearest-rank quartiles of `values` (at least one).
+    fn of(mut values: Vec<f64>) -> Spread {
+        values.sort_by(f64::total_cmp);
+        let at = |q: f64| values[((q * (values.len() - 1) as f64).round()) as usize];
+        Spread { q1: at(0.25), median: at(0.5), q3: at(0.75) }
+    }
+}
+
+/// One row: an operation over `bytes`, timed [`REPEATS`] times.
 struct Sample {
     op: &'static str,
     path: &'static str,
     size_label: &'static str,
     bytes: usize,
-    ns_per_iter: f64,
-    gib_per_s: f64,
+    ns_per_iter: Spread,
+    gib_per_s: Spread,
 }
 
-/// Times `f` adaptively: calibrates a batch size targeting ~80 ms of
-/// work, then reports the best of three batches (minimum is the standard
-/// noise-robust estimator for deterministic CPU-bound code).
-fn measure<F: FnMut()>(bytes: usize, mut f: F) -> (f64, f64) {
+/// Times `f`: calibrates a batch size targeting ~20 ms of work, then
+/// returns the ns/iteration of each of [`REPEATS`] batches.
+fn measure<F: FnMut()>(mut f: F) -> Vec<f64> {
     // Warm up and calibrate.
     let t0 = Instant::now();
     let mut calib = 0u64;
-    while t0.elapsed().as_millis() < 40 {
+    while t0.elapsed().as_millis() < 20 {
         f();
         calib += 1;
     }
     let per = t0.elapsed().as_nanos() as f64 / calib as f64;
-    let batch = ((80_000_000.0 / per).ceil() as u64).max(1);
-    let mut best = f64::INFINITY;
-    for _ in 0..3 {
-        let t = Instant::now();
-        for _ in 0..batch {
-            f();
-        }
-        let ns = t.elapsed().as_nanos() as f64 / batch as f64;
-        if ns < best {
-            best = ns;
-        }
-    }
-    let gib_per_s = bytes as f64 / best * 1e9 / (1024.0 * 1024.0 * 1024.0);
-    (best, gib_per_s)
+    let batch = ((20_000_000.0 / per).ceil() as u64).max(1);
+    (0..REPEATS)
+        .map(|_| {
+            let t = Instant::now();
+            for _ in 0..batch {
+                f();
+            }
+            t.elapsed().as_nanos() as f64 / batch as f64
+        })
+        .collect()
+}
+
+fn sample(op: &'static str, path: &'static str, size_label: &'static str, bytes: usize, ns: Vec<f64>) -> Sample {
+    let gib = ns.iter().map(|n| bytes as f64 / n * 1e9 / (1u64 << 30) as f64).collect();
+    Sample { op, path, size_label, bytes, ns_per_iter: Spread::of(ns), gib_per_s: Spread::of(gib) }
 }
 
 fn patterned(len: usize) -> Vec<u8> {
     (0..len).map(|i| (i * 131 % 251) as u8).collect()
 }
 
-fn run() -> Vec<Sample> {
-    let key = Key::Aes128([0x42; 16]);
-    let fast = AesGcm::new(&key);
-    let scalar = ScalarAesGcm::new(&key);
-    let mut samples = Vec::new();
-
+/// Seal and open rows of one `AesGcm` backend.
+fn gcm_rows(samples: &mut Vec<Sample>, path: &'static str, gcm: &AesGcm) {
     for (label, len) in SIZES {
         let plaintext = patterned(len);
-
         let mut buf = plaintext.clone();
-        let (ns, gib) = measure(len, || {
+        let ns = measure(|| {
             buf.copy_from_slice(&plaintext);
-            std::hint::black_box(fast.seal_in_place_detached(&[7; 12], &mut buf, b"aad"));
+            std::hint::black_box(gcm.seal_in_place_detached(&[7; 12], &mut buf, b"aad"));
         });
-        samples.push(Sample {
-            op: "seal",
-            path: "table",
-            size_label: label,
-            bytes: len,
-            ns_per_iter: ns,
-            gib_per_s: gib,
-        });
+        samples.push(sample("seal", path, label, len, ns));
 
         let mut sealed = plaintext.clone();
-        let tag = fast.seal_in_place_detached(&[7; 12], &mut sealed, b"aad");
-        let mut open_buf = sealed.clone();
-        let (ns, gib) = measure(len, || {
-            open_buf.copy_from_slice(&sealed);
-            fast.open_in_place_detached(&[7; 12], &mut open_buf, &tag, b"aad")
+        let tag = gcm.seal_in_place_detached(&[7; 12], &mut sealed, b"aad");
+        let ns = measure(|| {
+            buf.copy_from_slice(&sealed);
+            gcm.open_in_place_detached(&[7; 12], &mut buf, &tag, b"aad")
                 .expect("tag verifies");
-            std::hint::black_box(open_buf[0]);
+            std::hint::black_box(buf[0]);
         });
-        samples.push(Sample {
-            op: "open",
-            path: "table",
-            size_label: label,
-            bytes: len,
-            ns_per_iter: ns,
-            gib_per_s: gib,
-        });
+        samples.push(sample("open", path, label, len, ns));
+    }
+}
 
-        // Scalar baseline: only seal (open is symmetric) and only one
-        // batch-calibration pass — it is orders of magnitude slower.
-        let (ns, gib) = measure(len, || {
+/// One-shot SHA-256 rows of one backend.
+fn sha_rows(samples: &mut Vec<Sample>, path: &'static str, make: fn() -> Sha256) {
+    for (label, len) in SIZES {
+        let data = patterned(len);
+        let ns = measure(|| {
+            let mut h = make();
+            h.update(&data);
+            std::hint::black_box(h.finalize());
+        });
+        samples.push(sample("sha256", path, label, len, ns));
+    }
+}
+
+fn run() -> Vec<Sample> {
+    let key = Key::Aes128([0x42; 16]);
+    let mut samples = Vec::new();
+    let hw = AesGcm::new(&key);
+    if hw.backend() == Backend::Hardware {
+        gcm_rows(&mut samples, "hw", &hw);
+    }
+    gcm_rows(&mut samples, "table", &AesGcm::new_portable(&key));
+
+    let scalar = ScalarAesGcm::new(&key);
+    for (label, len) in SIZES {
+        let plaintext = patterned(len);
+        let ns = measure(|| {
             std::hint::black_box(scalar.seal(&[7; 12], &plaintext, b"aad"));
         });
-        samples.push(Sample {
-            op: "seal",
-            path: "scalar",
-            size_label: label,
-            bytes: len,
-            ns_per_iter: ns,
-            gib_per_s: gib,
+        samples.push(sample("seal", "scalar", label, len, ns));
+        let sealed = scalar.seal(&[7; 12], &plaintext, b"aad");
+        let ns = measure(|| {
+            std::hint::black_box(scalar.open(&[7; 12], &sealed, b"aad").expect("tag verifies"));
         });
+        samples.push(sample("open", "scalar", label, len, ns));
     }
+
+    if Sha256::new().backend() == Backend::Hardware {
+        sha_rows(&mut samples, "hw", Sha256::new);
+    }
+    sha_rows(&mut samples, "portable", Sha256::new_portable);
     samples
 }
 
+/// Median key-setup time of `AesGcm::new` and `AesGcm::new_portable`,
+/// in µs (the hardware figure is absent on hosts without it).
+fn key_setup_us() -> (Option<f64>, f64) {
+    let key = Key::Aes256([0x24; 32]);
+    let us = |ns: Vec<f64>| Spread::of(ns).median / 1e3;
+    let hw = (AesGcm::new(&key).backend() == Backend::Hardware)
+        .then(|| us(measure(|| drop(std::hint::black_box(AesGcm::new(&key))))));
+    let table = us(measure(|| drop(std::hint::black_box(AesGcm::new_portable(&key)))));
+    (hw, table)
+}
+
 /// Throughput of the Adaptor's striped multi-lane sealer at one lane
-/// count.
+/// count (medians over [`REPEATS`] batches).
 struct LaneSample {
     lanes: usize,
     ns_per_iter: f64,
@@ -147,7 +197,7 @@ fn run_lanes() -> Vec<LaneSample> {
     [1usize, 2, 4, 8]
         .into_iter()
         .map(|lanes| {
-            let (ns_per_iter, gib_per_s) = measure(LANE_BUF, || {
+            let ns = measure(|| {
                 buf.copy_from_slice(&plaintext);
                 std::hint::black_box(seal_chunks_striped(
                     &key,
@@ -156,7 +206,8 @@ fn run_lanes() -> Vec<LaneSample> {
                     lanes,
                 ));
             });
-            LaneSample { lanes, ns_per_iter, gib_per_s }
+            let row = sample("seal_striped", "default", "4MiB", LANE_BUF, ns);
+            LaneSample { lanes, ns_per_iter: row.ns_per_iter.median, gib_per_s: row.gib_per_s.median }
         })
         .collect()
 }
@@ -175,20 +226,37 @@ fn confidential_workload_snapshot() -> TelemetrySnapshot {
     system.telemetry_snapshot()
 }
 
-fn to_json(samples: &[Sample], lanes: &[LaneSample], telemetry: &TelemetrySnapshot) -> String {
-    let mut out = String::from("{\n  \"benchmark\": \"crypto_throughput\",\n  \"unit\": \"GiB/s\",\n  \"results\": [\n");
+fn to_json(
+    samples: &[Sample],
+    key_setup: (Option<f64>, f64),
+    lanes: &[LaneSample],
+    telemetry: &TelemetrySnapshot,
+) -> String {
+    let mut out = format!(
+        "{{\n  \"benchmark\": \"crypto_throughput\",\n  \"unit\": \"GiB/s\",\n  \"repeats\": {REPEATS},\n  \"results\": [\n"
+    );
     for (i, s) in samples.iter().enumerate() {
         let sep = if i + 1 == samples.len() { "" } else { "," };
         writeln!(
             out,
-            "    {{\"op\": \"{}\", \"path\": \"{}\", \"size\": \"{}\", \"bytes\": {}, \"ns_per_iter\": {:.1}, \"gib_per_s\": {:.4}}}{}",
-            s.op, s.path, s.size_label, s.bytes, s.ns_per_iter, s.gib_per_s, sep
+            "    {{\"op\": \"{}\", \"path\": \"{}\", \"size\": \"{}\", \"bytes\": {}, \"ns_per_iter\": {:.1}, \"gib_per_s\": {:.4}, \"gib_per_s_q1\": {:.4}, \"gib_per_s_q3\": {:.4}}}{}",
+            s.op, s.path, s.size_label, s.bytes, s.ns_per_iter.median, s.gib_per_s.median, s.gib_per_s.q1, s.gib_per_s.q3, sep
         )
         .expect("write to string");
     }
     out.push_str("  ],\n");
-    let speedup = speedup_64k(samples);
-    writeln!(out, "  \"speedup_table_vs_scalar_seal_64KiB\": {speedup:.1},").expect("write");
+    let ratio = |a: (&str, &str), b: (&str, &str), size: &str| ratio(samples, a, b, size);
+    for (name, value) in [
+        ("speedup_hw_vs_table_seal_4KiB", ratio(("seal", "hw"), ("seal", "table"), "4KiB")),
+        ("speedup_hw_vs_table_open_4KiB", ratio(("open", "hw"), ("open", "table"), "4KiB")),
+        ("speedup_hw_vs_portable_sha256_1MiB", ratio(("sha256", "hw"), ("sha256", "portable"), "1MiB")),
+        ("speedup_table_vs_scalar_seal_64KiB", ratio(("seal", "table"), ("seal", "scalar"), "64KiB")),
+    ] {
+        writeln!(out, "  \"{name}\": {value:.1},").expect("write");
+    }
+    let (hw_us, table_us) = key_setup;
+    let hw_us = hw_us.map_or("null".to_string(), |us| format!("{us:.3}"));
+    writeln!(out, "  \"key_setup_us\": {{\"hw\": {hw_us}, \"table\": {table_us:.3}}},").expect("write");
     out.push_str("  \"crypto_lanes\": [\n");
     for (i, l) in lanes.iter().enumerate() {
         let sep = if i + 1 == lanes.len() { "" } else { "," };
@@ -213,18 +281,18 @@ fn to_json(samples: &[Sample], lanes: &[LaneSample], telemetry: &TelemetrySnapsh
     out
 }
 
-/// The tentpole's headline number: table/scalar seal ratio at 64 KiB.
-fn speedup_64k(samples: &[Sample]) -> f64 {
-    let find = |path: &str| {
+/// Median GiB/s of row `a` over row `b` at `size` (0 when either row is
+/// absent, as the hardware rows are on hosts without the features).
+fn ratio(samples: &[Sample], a: (&str, &str), b: (&str, &str), size: &str) -> f64 {
+    let find = |(op, path): (&str, &str)| {
         samples
             .iter()
-            .find(|s| s.op == "seal" && s.path == path && s.size_label == "64KiB")
-            .map(|s| s.gib_per_s)
-            .unwrap_or(0.0)
+            .find(|s| s.op == op && s.path == path && s.size_label == size)
+            .map_or(0.0, |s| s.gib_per_s.median)
     };
-    let (table, scalar) = (find("table"), find("scalar"));
-    if scalar > 0.0 {
-        table / scalar
+    let (num, den) = (find(a), find(b));
+    if den > 0.0 {
+        num / den
     } else {
         0.0
     }
@@ -236,11 +304,17 @@ fn main() {
     let samples = run();
     for s in &samples {
         println!(
-            "{:>6} {:<6} {:>6}  {:>12.1} ns/iter  {:>8.3} GiB/s",
-            s.op, s.path, s.size_label, s.ns_per_iter, s.gib_per_s
+            "{:>6} {:<8} {:>6}  {:>12.1} ns/iter  {:>8.3} GiB/s  (IQR {:.3}..{:.3})",
+            s.op, s.path, s.size_label, s.ns_per_iter.median, s.gib_per_s.median, s.gib_per_s.q1, s.gib_per_s.q3
         );
     }
-    println!("table vs scalar seal @64KiB: {:.1}x", speedup_64k(&samples));
+    println!(
+        "hw vs table seal @4KiB: {:.1}x; table vs scalar seal @64KiB: {:.1}x",
+        ratio(&samples, ("seal", "hw"), ("seal", "table"), "4KiB"),
+        ratio(&samples, ("seal", "table"), ("seal", "scalar"), "64KiB")
+    );
+    let key_setup = key_setup_us();
+    println!("key setup: hw {:?} us, table {:.3} us", key_setup.0, key_setup.1);
     let lanes = run_lanes();
     for l in &lanes {
         println!(
@@ -258,7 +332,7 @@ fn main() {
             hop.total
         );
     }
-    let json = to_json(&samples, &lanes, &snapshot);
+    let json = to_json(&samples, key_setup, &lanes, &snapshot);
     if let Err(e) = std::fs::write(&out_path, json) {
         eprintln!("error: cannot write {out_path}: {e}");
         std::process::exit(1);

@@ -11,7 +11,7 @@
 
 use ccai_crypto::{AesGcm, Key};
 use serde::{Deserialize, Serialize};
-use std::collections::HashMap;
+use std::collections::VecDeque;
 use std::fmt;
 
 /// Engine activity counters.
@@ -29,10 +29,16 @@ pub struct EngineStats {
     pub auth_failures: u64,
 }
 
+/// Key schedules a [`CryptoEngine`] keeps at most. Streams are rekeyed
+/// per session, so an unbounded cache would grow with every key the
+/// engine has ever seen; past this many the oldest schedule is dropped
+/// and rebuilt on its next use.
+const CIPHER_CACHE_CAPACITY: usize = 32;
+
 /// Stack-allocated cache key: the raw key bytes widened to the larger
-/// key size. Hashing and comparing this is allocation-free, unlike the
-/// `Vec<u8>` key the seed used (one heap allocation per crypto call).
-#[derive(Clone, Copy, PartialEq, Eq, Hash)]
+/// key size. Comparing this is allocation-free, unlike the `Vec<u8>` key
+/// the seed used (one heap allocation per crypto call).
+#[derive(Clone, Copy, PartialEq, Eq)]
 struct KeyFingerprint {
     len: u8,
     bytes: [u8; 32],
@@ -49,7 +55,10 @@ impl KeyFingerprint {
 
 /// The crypto engine with a small key-schedule cache.
 pub struct CryptoEngine {
-    ciphers: HashMap<KeyFingerprint, AesGcm>,
+    /// Key schedules in insertion order, at most
+    /// [`CIPHER_CACHE_CAPACITY`]. A pure memo: which keys it holds never
+    /// changes an output.
+    ciphers: VecDeque<(KeyFingerprint, AesGcm)>,
     stats: EngineStats,
 }
 
@@ -68,13 +77,24 @@ impl Default for CryptoEngine {
 impl CryptoEngine {
     /// Creates an idle engine.
     pub fn new() -> Self {
-        CryptoEngine { ciphers: HashMap::new(), stats: EngineStats::default() }
+        CryptoEngine { ciphers: VecDeque::new(), stats: EngineStats::default() }
     }
 
+    /// The cached schedule for `key`, built (evicting the oldest entry
+    /// when the cache is full) on a miss.
     fn cipher(&mut self, key: &Key) -> &AesGcm {
-        self.ciphers
-            .entry(KeyFingerprint::of(key))
-            .or_insert_with(|| AesGcm::new(key))
+        let fingerprint = KeyFingerprint::of(key);
+        let slot = match self.ciphers.iter().position(|(f, _)| *f == fingerprint) {
+            Some(slot) => slot,
+            None => {
+                if self.ciphers.len() == CIPHER_CACHE_CAPACITY {
+                    self.ciphers.pop_front();
+                }
+                self.ciphers.push_back((fingerprint, AesGcm::new(key)));
+                self.ciphers.len() - 1
+            }
+        };
+        &self.ciphers[slot].1
     }
 
     /// Encrypts a chunk; returns `(ciphertext, tag)` with
@@ -331,5 +351,28 @@ mod tests {
         assert_ne!(ct1, ct2);
         assert!(engine.open_detached(&k1, &[0; 12], &ct1, &tag1, b"").is_ok());
         assert!(engine.open_detached(&k2, &[0; 12], &ct1, &tag1, b"").is_err());
+    }
+
+    /// A fresh stream key per request (as the interactive fleet serves)
+    /// must not grow the cache past its bound, and eviction must not
+    /// change any result: the long-lived environment key keeps verifying
+    /// across evictions.
+    #[test]
+    fn cipher_cache_stays_bounded_over_10k_requests() {
+        let mut engine = CryptoEngine::new();
+        let env = Key::Aes256([0xE7; 32]);
+        let env_tag = engine.plain_tag(&env, &[1; 12], b"register write");
+        for request in 0u32..10_000 {
+            let mut raw = [0u8; 16];
+            raw[..4].copy_from_slice(&request.to_le_bytes());
+            let stream = Key::Aes128(raw);
+            let (ct, tag) = engine.seal_detached(&stream, &[2; 12], b"prompt", b"aad");
+            let plain = engine.open_detached(&stream, &[2; 12], &ct, &tag, b"aad").unwrap();
+            assert_eq!(plain, b"prompt");
+            assert!(engine.verify_plain_tag(&env, &[1; 12], b"register write", &env_tag));
+            assert!(engine.ciphers.len() <= CIPHER_CACHE_CAPACITY, "request {request}");
+        }
+        assert_eq!(engine.ciphers.len(), CIPHER_CACHE_CAPACITY);
+        assert_eq!(engine.stats().auth_failures, 0);
     }
 }

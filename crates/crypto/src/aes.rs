@@ -1,16 +1,22 @@
 //! FIPS-197 AES block cipher (128- and 256-bit keys), table-driven.
 //!
+//! This is the portable AES that [`crate::AesGcm`] runs on hosts without
+//! AES-NI (and on every non-x86_64 target); on x86_64 hosts with AES-NI
+//! and PCLMULQDQ the GCM datapath uses the hardware kernels instead, and
+//! this type remains the public single-block cipher.
+//!
 //! The hot path is a T-table implementation: the S-box and the four
 //! round-fused encryption tables (S-box composed with MixColumns, one
 //! rotation per row) are computed at *compile time* by const evaluation,
-//! so key setup only expands round keys. [`Aes::encrypt_words_para`]
-//! encrypts several independent blocks per call with the round loop
-//! interleaved across blocks, which is what the GCM CTR keystream rides
-//! on (§5's "optimization on security operations" — AES-NI + multi-lane
-//! crypto on the real system, instruction-level parallelism here).
+//! so key setup only expands round keys. `Aes::ctr_keystream_para`
+//! encrypts several independent counter blocks per call with the round loop
+//! interleaved across blocks, which the portable GCM CTR keystream rides
+//! on. Table lookups are indexed by secret state bytes, so their cache
+//! footprint depends on key and data: unlike AES-NI, this path is not
+//! constant-time.
 //!
 //! The original byte-at-a-time implementation is retained in
-//! [`crate::scalar`] as a differential-test oracle.
+//! `crate::scalar` as a differential-test oracle.
 
 use serde::{Deserialize, Serialize};
 

@@ -1,11 +1,13 @@
-//! Table-driven GHASH (the universal hash inside SP 800-38D GCM).
+//! Table-driven GHASH (the universal hash inside SP 800-38D GCM), for the
+//! portable GCM backend.
 //!
-//! The seed implementation multiplied in GF(2^128) with a 128-iteration
-//! bit loop per 16-byte block — the single hottest loop in the whole
-//! simulated datapath, since every byte crossing the PCIe-SC is GHASHed
-//! twice (seal + open). This module replaces it with Shoup-style
-//! nibble-indexed tables: because the map X ↦ X·H is linear over GF(2),
-//! the product decomposes into one lookup per input nibble position,
+//! On x86_64 hosts with PCLMULQDQ the GCM datapath multiplies with
+//! carry-less multiplication instead (the `hw` module); this module
+//! serves every other host. The seed multiplied in GF(2^128) with a
+//! 128-iteration bit loop per 16-byte block. This module replaces it with
+//! Shoup-style nibble-indexed tables: because the map X ↦ X·H is linear
+//! over GF(2), the product decomposes into one lookup per input nibble
+//! position,
 //!
 //! ```text
 //! X·H = XOR over j in 0..32 of T[j][nibble_j(X)],   T[j][v] = (v·x^{4j})·H
@@ -14,9 +16,10 @@
 //! so a block costs 32 small loads + XORs instead of 128 shift/XOR
 //! rounds. Tables for H..H⁴ (8 KiB each, 32 KiB per key — small enough
 //! to stay L1-resident next to the AES T-tables) are built once per key
-//! in [`GhashTable::new`] from 128 doublings plus ~0.5 K XORs each,
-//! which the 4 KiB-chunk datapath amortizes after the first chunk; the
-//! powers drive the four-way aggregated update (see [`GhashTable`]).
+//! in [`GhashTable::new`] (~11 µs with the AES schedule); the powers drive
+//! the four-way aggregated update (see [`GhashTable`]). The lookups are
+//! indexed by secret data, so unlike PCLMULQDQ this path is not
+//! constant-time.
 //!
 //! Bit convention: operands are big-endian `u128`s in GCM's reflected
 //! ordering — the most significant bit of byte 0 is the coefficient of

@@ -1,5 +1,15 @@
 //! FIPS-180-4 SHA-256.
+//!
+//! [`Sha256::new`] picks the compression backend once, from what the CPU
+//! reports: SHA-NI (`sha256rnds2`/`sha256msg1`/`sha256msg2`, in the `hw`
+//! module) on x86_64 hosts with the `sha`, `ssse3` and `sse4.1` features,
+//! and the portable FIPS-180-4 round loop everywhere else. Both run every
+//! full block the caller hands [`Sha256::update`] in one call, and both
+//! produce the same digest.
 
+#[cfg(target_arch = "x86_64")]
+use crate::hw::ShaNi;
+use crate::Backend;
 use serde::{Deserialize, Serialize};
 use std::fmt;
 
@@ -37,7 +47,7 @@ impl AsRef<[u8]> for Digest {
     }
 }
 
-const K: [u32; 64] = [
+pub(crate) const K: [u32; 64] = [
     0x428a2f98, 0x71374491, 0xb5c0fbcf, 0xe9b5dba5, 0x3956c25b, 0x59f111f1, 0x923f82a4,
     0xab1c5ed5, 0xd807aa98, 0x12835b01, 0x243185be, 0x550c7dc3, 0x72be5d74, 0x80deb1fe,
     0x9bdc06a7, 0xc19bf174, 0xe49b69c1, 0xefbe4786, 0x0fc19dc6, 0x240ca1cc, 0x2de92c6f,
@@ -76,6 +86,15 @@ pub struct Sha256 {
     buffer: [u8; 64],
     buffer_len: usize,
     total_len: u64,
+    compressor: Compressor,
+}
+
+/// The compression backend a hasher was built with.
+#[derive(Debug, Clone, Copy)]
+enum Compressor {
+    #[cfg(target_arch = "x86_64")]
+    ShaNi(ShaNi),
+    Portable,
 }
 
 impl Default for Sha256 {
@@ -85,9 +104,34 @@ impl Default for Sha256 {
 }
 
 impl Sha256 {
-    /// Creates a fresh hasher.
+    /// Creates a fresh hasher, on SHA-NI when the host supports it and
+    /// on the portable round loop otherwise.
     pub fn new() -> Self {
-        Sha256 { state: H0, buffer: [0u8; 64], buffer_len: 0, total_len: 0 }
+        #[cfg(target_arch = "x86_64")]
+        if let Some(sha) = ShaNi::detect() {
+            return Self::with(Compressor::ShaNi(sha));
+        }
+        Self::with(Compressor::Portable)
+    }
+
+    /// Creates a hasher on the portable round loop whatever the host
+    /// supports: the differential reference for SHA-NI.
+    #[cfg(any(test, feature = "scalar-oracle"))]
+    pub fn new_portable() -> Self {
+        Self::with(Compressor::Portable)
+    }
+
+    fn with(compressor: Compressor) -> Self {
+        Sha256 { state: H0, buffer: [0u8; 64], buffer_len: 0, total_len: 0, compressor }
+    }
+
+    /// The backend this hasher runs on.
+    pub fn backend(&self) -> Backend {
+        match self.compressor {
+            #[cfg(target_arch = "x86_64")]
+            Compressor::ShaNi(_) => Backend::Hardware,
+            Compressor::Portable => Backend::Portable,
+        }
     }
 
     /// Absorbs more input.
@@ -101,19 +145,15 @@ impl Sha256 {
             data = &data[take..];
             if self.buffer_len == 64 {
                 let block = self.buffer;
-                self.compress(&block);
+                self.compress(&[block]);
                 self.buffer_len = 0;
             }
         }
-        while data.len() >= 64 {
-            let mut block = [0u8; 64];
-            block.copy_from_slice(&data[..64]);
-            self.compress(&block);
-            data = &data[64..];
-        }
-        if !data.is_empty() {
-            self.buffer[..data.len()].copy_from_slice(data);
-            self.buffer_len = data.len();
+        let (blocks, rest) = data.as_chunks::<64>();
+        self.compress(blocks);
+        if !rest.is_empty() {
+            self.buffer[..rest.len()].copy_from_slice(rest);
+            self.buffer_len = rest.len();
         }
     }
 
@@ -143,12 +183,26 @@ impl Sha256 {
         self.buffer_len += 1;
         if self.buffer_len == 64 {
             let block = self.buffer;
-            self.compress(&block);
+            self.compress(&[block]);
             self.buffer_len = 0;
         }
     }
 
-    fn compress(&mut self, block: &[u8; 64]) {
+    /// Runs the compression function over `blocks` in order.
+    fn compress(&mut self, blocks: &[[u8; 64]]) {
+        match self.compressor {
+            #[cfg(target_arch = "x86_64")]
+            Compressor::ShaNi(sha) => sha.compress(&mut self.state, blocks),
+            Compressor::Portable => {
+                for block in blocks {
+                    self.compress_block(block);
+                }
+            }
+        }
+    }
+
+    /// The portable FIPS-180-4 compression function, one block.
+    fn compress_block(&mut self, block: &[u8; 64]) {
         let mut w = [0u32; 64];
         for (i, chunk) in block.chunks_exact(4).enumerate() {
             w[i] = u32::from_be_bytes([chunk[0], chunk[1], chunk[2], chunk[3]]);
@@ -268,5 +322,68 @@ mod tests {
         let d = sha256(b"abc");
         assert!(format!("{d}").starts_with("ba7816bf"));
         assert!(format!("{d:?}").contains("ba7816bf"));
+    }
+
+    /// The hasher [`Sha256::new`] picks on this host, then the portable
+    /// one.
+    fn backends() -> [Sha256; 2] {
+        [Sha256::new(), Sha256::new_portable()]
+    }
+
+    fn hash_with(mut h: Sha256, data: &[u8]) -> Digest {
+        h.update(data);
+        h.finalize()
+    }
+
+    /// The FIPS-180-4 example vectors through every backend.
+    #[test]
+    fn fips180_vectors_through_every_backend() {
+        let million_a = vec![b'a'; 1_000_000];
+        let vectors: [(&[u8], &str); 4] = [
+            (b"", "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+            (b"abc", "ba7816bf8f01cfea414140de5dae2223b00361a396177a9cb410ff61f20015ad"),
+            (
+                b"abcdbcdecdefdefgefghfghighijhijkijkljklmklmnlmnomnopnopq",
+                "248d6a61d20638b8e5c026930c3e6039a33ce45964ff2167f6ecedd419db06c1",
+            ),
+            (&million_a, "cdc76e5c9914fb9281a1c7e284d73e67f1809a48a497200e046d39ccc7112cd0"),
+        ];
+        for (data, want) in vectors {
+            for h in backends() {
+                let path = h.backend();
+                assert_eq!(hash_with(h, data).to_hex(), want, "{path:?} len {}", data.len());
+            }
+        }
+    }
+
+    /// Two `update` calls split anywhere in a three-block message, and
+    /// three calls split at any pair of points, equal the one-shot digest
+    /// on every backend.
+    #[test]
+    fn incremental_update_at_every_split_of_a_three_block_message() {
+        let data: Vec<u8> = (0..192u32).map(|i| (i * 73 % 256) as u8).collect();
+        let oneshot = hash_with(Sha256::new_portable(), &data);
+        for make in [Sha256::new, Sha256::new_portable] {
+            for i in 0..=data.len() {
+                for j in i..=data.len() {
+                    let mut h = make();
+                    h.update(&data[..i]);
+                    h.update(&data[i..j]);
+                    h.update(&data[j..]);
+                    assert_eq!(h.finalize(), oneshot, "{:?} split {i}/{j}", make().backend());
+                }
+            }
+        }
+    }
+
+    /// SHA-NI and the portable round loop agree at every length across
+    /// the padding boundaries and on multi-block bulk input.
+    #[test]
+    fn backends_agree_at_every_length() {
+        let data: Vec<u8> = (0..4096u32).map(|i| (i * 131 % 251) as u8).collect();
+        for len in (0..=300).chain([1000, 4095, 4096]) {
+            let [hw, portable] = backends();
+            assert_eq!(hash_with(hw, &data[..len]), hash_with(portable, &data[..len]), "len {len}");
+        }
     }
 }

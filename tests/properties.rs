@@ -475,6 +475,56 @@ proptest! {
     }
 
     #[test]
+    fn hardware_table_and_scalar_backends_agree_on_every_api(
+        key in arb_key(),
+        nonce in any::<[u8; 12]>(),
+        plaintext in proptest::collection::vec(any::<u8>(), 0..4096),
+        aad in proptest::collection::vec(any::<u8>(), 0..64),
+        fault_at in any::<prop::sample::Index>(),
+        xor in 1u8..=255,
+    ) {
+        // `AesGcm::new` runs the hardware backend on hosts that have it;
+        // `new_portable` always runs the T-table one; the scalar oracle
+        // shares no code with either.
+        let oracle = ScalarAesGcm::new(&key);
+        let sealed = oracle.seal(&nonce, &plaintext, &aad);
+        let (ct, tag) = sealed.split_at(plaintext.len());
+        let tag: [u8; 16] = tag.try_into().expect("16-byte tag");
+        let plain_tag = oracle.seal(&nonce, b"", &plaintext);
+        for gcm in [AesGcm::new(&key), AesGcm::new_portable(&key)] {
+            prop_assert_eq!(&gcm.seal(&nonce, &plaintext, &aad), &sealed);
+            prop_assert_eq!(gcm.open(&nonce, &sealed, &aad).expect("authentic"), plaintext.clone());
+            let mut buf = plaintext.clone();
+            prop_assert_eq!(gcm.seal_in_place_detached(&nonce, &mut buf, &aad), tag);
+            prop_assert_eq!(&buf[..], ct);
+            prop_assert_eq!(&gcm.tag_only(&nonce, &plaintext)[..], &plain_tag[..]);
+            // One flipped byte anywhere in ciphertext or tag: rejected,
+            // with the buffer left as ciphertext.
+            let mut bad = sealed.clone();
+            bad[fault_at.index(sealed.len())] ^= xor;
+            prop_assert_eq!(gcm.open(&nonce, &bad, &aad), Err(OpenError::TagMismatch));
+            let (bad_ct, bad_tag) = bad.split_at(plaintext.len());
+            let mut bad_buf = bad_ct.to_vec();
+            let bad_tag: [u8; 16] = bad_tag.try_into().expect("16-byte tag");
+            prop_assert!(gcm.open_in_place_detached(&nonce, &mut bad_buf, &bad_tag, &aad).is_err());
+            prop_assert_eq!(&bad_buf[..], bad_ct);
+        }
+    }
+
+    #[test]
+    fn sha256_backends_agree_at_any_split(
+        data in proptest::collection::vec(any::<u8>(), 0..4096),
+        split in any::<prop::sample::Index>(),
+    ) {
+        use ccai_crypto::{sha256, Sha256};
+        let cut = split.index(data.len() + 1);
+        let mut portable = Sha256::new_portable();
+        portable.update(&data[..cut]);
+        portable.update(&data[cut..]);
+        prop_assert_eq!(portable.finalize(), sha256(&data));
+    }
+
+    #[test]
     fn guest_memory_dma_respects_sharing_for_any_layout(
         share_start in 0u64..0x8000,
         share_len in 1u64..0x4000,
