@@ -19,7 +19,9 @@
 //! very same code with the switches off.
 
 use crate::filter::{L1Rule, L2Rule, PolicyBlob, SecurityAction};
-use crate::handler::{ChunkRef, CryptoEngine, StreamDirection, TagRecord, CHUNK_SIZE};
+use crate::handler::{
+    ChunkRef, CryptoEngine, StreamDirection, TagRecord, TagRing, CHUNK_SIZE, TAG_RECORD_LEN,
+};
 use crate::perf::OptimizationConfig;
 use crate::sc::{
     regs, status_bits, ENV_POLICY_RECORD_LEN, ENV_STREAM, MMIO_STREAM, STREAM_MAP_RECORD_LEN,
@@ -147,7 +149,8 @@ pub struct AdaptorConfig {
     pub staging_base: u64,
     /// Length of the staging window.
     pub staging_len: u64,
-    /// Guest address of the tag landing buffer (inside a shared range).
+    /// Guest address of the tag landing buffer: a ring of
+    /// [`crate::handler::TAG_LANDING_LEN`] bytes inside a shared range.
     pub tag_landing: u64,
     /// Guest address of the metadata batch buffer.
     pub metadata_buf: u64,
@@ -172,7 +175,7 @@ struct AdaptorState {
     /// transfer can still be mapped to its stream for rekeying (entries in
     /// `pending_d2h` are consumed by recovery even when it fails).
     stream_of: Vec<(u64, StreamId)>,
-    tag_cursor: u64,
+    tag_ring: TagRing,
     mmio_seq: u64,
     /// Control-envelope sequence counter: monotonic for the lifetime of
     /// the binding (never reset at task end, so the SC's strict in-order
@@ -318,7 +321,7 @@ impl Adaptor {
             staging_cursor: 0,
             pending_d2h: Vec::new(),
             stream_of: Vec::new(),
-            tag_cursor: 0,
+            tag_ring: TagRing::default(),
             mmio_seq: 0,
             ctrl_seq: 0,
             unacked: Vec::new(),
@@ -484,7 +487,7 @@ impl Adaptor {
             let mut state = self.state.borrow_mut();
             // Registering the landing buffer resets the SC's record
             // cursor; mirror that locally so both sides stay in step.
-            state.tag_cursor = 0;
+            state.tag_ring = TagRing::default();
             (state.config.tag_landing, state.config.metadata_buf)
         };
         self.write_control_verified(port, regs::TAG_LANDING_ADDR, landing);
@@ -861,12 +864,14 @@ impl DmaStager for Adaptor {
 
         // Read the SC-deposited tag records from the landing buffer.
         let landing = state.config.tag_landing;
-        let cursor = state.tag_cursor;
-        state.tag_cursor += chunks;
+        let first = state
+            .tag_ring
+            .reserve(chunks)
+            .map_err(|overflow| IntegrityError { reason: overflow.to_string() })?;
         let mut tags = std::collections::HashMap::new();
         for i in 0..chunks {
-            let record_addr = landing + (cursor + i) * 28;
-            let bytes = memory.read(record_addr, 28);
+            let record_addr = TagRing::slot_addr(landing, first + i);
+            let bytes = memory.read(record_addr, TAG_RECORD_LEN as u64);
             let record = TagRecord::from_bytes(&bytes).ok_or_else(|| IntegrityError {
                 reason: "malformed tag record in landing buffer".to_string(),
             })?;
@@ -1021,7 +1026,7 @@ impl Adaptor {
             enc.u64(*addr);
             enc.u32(stream.0);
         }
-        enc.u64(state.tag_cursor);
+        enc.u64(state.tag_ring.position());
         enc.u64(state.mmio_seq);
         enc.u64(state.ctrl_seq);
         enc.u64(state.unacked.len() as u64);
@@ -1083,7 +1088,8 @@ impl Adaptor {
         for _ in 0..map_count {
             stream_of.push((dec.u64()?, StreamId(dec.u32()?)));
         }
-        let tag_cursor = dec.u64()?;
+        let tag_ring = TagRing::at(dec.u64()?)
+            .ok_or(SnapshotError::Invalid("tag landing cursor past the ring"))?;
         let mmio_seq = dec.u64()?;
         let ctrl_seq = dec.u64()?;
         let unacked_count = dec.seq_len()?;
@@ -1110,7 +1116,7 @@ impl Adaptor {
         state.staging_cursor = staging_cursor;
         state.pending_d2h = pending_d2h;
         state.stream_of = stream_of;
-        state.tag_cursor = tag_cursor;
+        state.tag_ring = tag_ring;
         state.mmio_seq = mmio_seq;
         state.ctrl_seq = ctrl_seq;
         state.unacked = unacked;
@@ -1228,6 +1234,82 @@ mod tests {
                 assert_eq!(got_ct, want_ct, "lanes={lanes} seq={}", want_rec.seq);
             }
         }
+    }
+
+    fn test_adaptor(staging_len: u64) -> Adaptor {
+        Adaptor::new(
+            AdaptorConfig {
+                tvm_bdf: Bdf::new(0, 2, 0),
+                xpu_bdf: Bdf::new(0x17, 0, 0),
+                sc_region_base: 0x7F00_0000,
+                xpu_bar0: 0x8000_0000..0x8010_0000,
+                xpu_bar1: 0x9000_0000..0xA000_0000,
+                staging_base: 0x100_0000,
+                staging_len,
+                tag_landing: 0x80_0000,
+                metadata_buf: 0x90_0000,
+                mmio_integrity: true,
+                opts: OptimizationConfig::default(),
+            },
+            [0x5C; 32],
+        )
+    }
+
+    /// Recovery reads its tag records from consecutive ring slots and
+    /// wraps at the end of the landing buffer, as the SC writes them.
+    #[test]
+    fn recovery_reads_tags_across_the_ring_wrap() {
+        use crate::handler::{TAG_LANDING_LEN, TAG_RING_RECORDS};
+        let mut adaptor = test_adaptor(0x10_0000);
+        let mut memory = GuestMemory::new(0x200_0000);
+        memory.share_range(0x80_0000..0x80_0000 + TAG_LANDING_LEN);
+        memory.share_range(0x100_0000..0x110_0000);
+        let data: Vec<u8> = (0..3 * CHUNK_SIZE as usize).map(|i| (i * 7 % 253) as u8).collect();
+        let (base, stream) = (0x100_0000, StreamId(0x300));
+        {
+            let mut state = adaptor.state.borrow_mut();
+            state.tag_ring = TagRing::at(TAG_RING_RECORDS - 1).unwrap();
+            state.pending_d2h.push((base, stream, 3));
+            let key = state.stream_key(stream);
+            // Play the SC: seal each chunk into the landing buffer and
+            // deposit its tag record at the next ring slot.
+            let mut sc_ring = state.tag_ring;
+            for (i, chunk) in data.chunks(CHUNK_SIZE as usize).enumerate() {
+                let chunk_ref = ChunkRef { stream, seq: i as u64 };
+                let (ct, tag) =
+                    state.engine.seal_detached(&key, &chunk_ref.nonce(), chunk, &chunk_ref.aad());
+                memory.write(base + i as u64 * CHUNK_SIZE, &ct);
+                let slot = sc_ring.reserve(1).unwrap();
+                let record = TagRecord { stream, seq: i as u64, tag };
+                memory.write(TagRing::slot_addr(0x80_0000, slot), &record.to_bytes());
+            }
+        }
+        let buffer = StagedBuffer { device_addr: base, len: data.len() as u64 };
+        let got = adaptor.recover_from_device(&mut Fabric::new(), &mut memory, buffer);
+        assert_eq!(got.unwrap(), data);
+        assert_eq!(adaptor.state.borrow().tag_ring.position(), 2);
+    }
+
+    /// A transfer with more chunks than the ring has slots is refused
+    /// with the typed overflow, and leaves the cursor where the SC's is.
+    #[test]
+    fn recovery_refuses_a_transfer_larger_than_the_tag_ring() {
+        use crate::handler::{TagRingOverflow, TAG_RING_RECORDS};
+        let mut adaptor = test_adaptor(0x10_0000);
+        let mut memory = GuestMemory::new(0x200_0000);
+        let chunks = TAG_RING_RECORDS + 1;
+        let base = 0x100_0000;
+        {
+            let mut state = adaptor.state.borrow_mut();
+            state.tag_ring = TagRing::at(5).unwrap();
+            state.pending_d2h.push((base, StreamId(0x301), chunks));
+        }
+        let buffer = StagedBuffer { device_addr: base, len: chunks * CHUNK_SIZE };
+        let err = adaptor
+            .recover_from_device(&mut Fabric::new(), &mut memory, buffer)
+            .unwrap_err();
+        assert_eq!(err.reason, TagRingOverflow { chunks }.to_string());
+        assert_eq!(adaptor.state.borrow().tag_ring.position(), 5);
     }
 
     /// More lanes than chunks must not spawn empty stripes or panic.

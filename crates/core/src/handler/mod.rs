@@ -16,4 +16,7 @@ mod tags;
 pub use engine::{CryptoEngine, EngineStats};
 pub use env_guard::{EnvGuard, EnvViolation, MmioPolicy};
 pub use params::{ChunkRef, ParamsManager, StreamDirection, CHUNK_SIZE};
-pub use tags::{TagManager, TagRecord, TAG_RECORD_LEN};
+pub use tags::{
+    TagManager, TagRecord, TagRing, TagRingOverflow, TAG_LANDING_LEN, TAG_RECORD_LEN,
+    TAG_RING_RECORDS,
+};

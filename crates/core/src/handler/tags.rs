@@ -20,6 +20,87 @@ use std::fmt;
 /// Serialized size of one tag record: stream(4) + seq(8) + tag(16).
 pub const TAG_RECORD_LEN: usize = 28;
 
+/// Bytes of shared guest memory reserved for the D2H tag landing buffer.
+pub const TAG_LANDING_LEN: u64 = 0x10_0000;
+
+/// Tag records the landing buffer holds (37,449 of 28 B in 1 MiB). The
+/// SC's write cursor and the Adaptor's read cursor both wrap here.
+pub const TAG_RING_RECORDS: u64 = TAG_LANDING_LEN / TAG_RECORD_LEN as u64;
+
+/// A D2H transfer with more chunks than the tag landing ring has slots:
+/// its later tags would overwrite its own earlier ones before the
+/// Adaptor reads them, so both ends refuse it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct TagRingOverflow {
+    /// Chunks (tag records) the transfer needs.
+    pub chunks: u64,
+}
+
+impl fmt::Display for TagRingOverflow {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(
+            f,
+            "D2H transfer of {} chunks exceeds the {TAG_RING_RECORDS}-record tag ring",
+            self.chunks
+        )
+    }
+}
+
+impl std::error::Error for TagRingOverflow {}
+
+/// A cursor into the tag landing ring. The SC advances its copy one
+/// record per encrypted D2H chunk; the Adaptor advances its copy by a
+/// whole transfer when it recovers it, so both stay in step.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct TagRing {
+    next: u64,
+}
+
+impl TagRing {
+    /// A cursor at ring slot `next`, or `None` past the ring (a corrupt
+    /// snapshot).
+    pub fn at(next: u64) -> Option<TagRing> {
+        (next < TAG_RING_RECORDS).then_some(TagRing { next })
+    }
+
+    /// The next slot to be written (or read).
+    pub fn position(self) -> u64 {
+        self.next
+    }
+
+    /// Refuses a transfer whose tags cannot all be live in the ring at once.
+    ///
+    /// # Errors
+    ///
+    /// [`TagRingOverflow`] if `chunks` exceeds [`TAG_RING_RECORDS`].
+    pub fn check(chunks: u64) -> Result<(), TagRingOverflow> {
+        if chunks > TAG_RING_RECORDS {
+            return Err(TagRingOverflow { chunks });
+        }
+        Ok(())
+    }
+
+    /// Claims `chunks` consecutive slots, returning the first; slot `i` of
+    /// the claim lives at [`TagRing::slot_addr`]`(landing, first + i)`.
+    ///
+    /// # Errors
+    ///
+    /// [`TagRingOverflow`] (and no cursor movement) if the claim exceeds
+    /// the ring.
+    pub fn reserve(&mut self, chunks: u64) -> Result<u64, TagRingOverflow> {
+        TagRing::check(chunks)?;
+        let first = self.next;
+        self.next = (first + chunks) % TAG_RING_RECORDS;
+        Ok(first)
+    }
+
+    /// Guest address of ring slot `slot` (taken modulo the ring) in the
+    /// landing buffer at `landing`.
+    pub fn slot_addr(landing: u64, slot: u64) -> u64 {
+        landing + (slot % TAG_RING_RECORDS) * TAG_RECORD_LEN as u64
+    }
+}
+
 /// One parsed tag record.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub struct TagRecord {

@@ -16,7 +16,7 @@
 use crate::filter::{PacketFilter, PolicyBlob, SecurityAction};
 use crate::handler::{
     ChunkRef, CryptoEngine, EnvGuard, MmioPolicy, ParamsManager, StreamDirection, TagManager,
-    TagRecord,
+    TagRecord, TagRing, CHUNK_SIZE,
 };
 use crate::perf::{AES_NI_RATE, SC_PIPELINE_LATENCY};
 use ccai_pcie::{parse_ctrl_envelope, Bdf, CplStatus, Interposer, InterposeOutcome, Tlp, TlpType};
@@ -203,7 +203,7 @@ struct TenantCtx {
     params: ParamsManager,
     tags: TagManager,
     tag_landing: Option<u64>,
-    tag_landing_cursor: u64,
+    tag_ring: TagRing,
     metadata_buf: Option<u64>,
     mmio_seq: u64,
     /// Highest envelope sequence accepted on the A3 MMIO path (monotone
@@ -230,7 +230,7 @@ impl TenantCtx {
             params,
             tags: TagManager::new(),
             tag_landing: None,
-            tag_landing_cursor: 0,
+            tag_ring: TagRing::default(),
             metadata_buf: None,
             mmio_seq: 0,
             mmio_last_seq: 0,
@@ -262,7 +262,7 @@ impl TenantCtx {
         self.tags.encode_snapshot(enc);
         enc.bool(self.tag_landing.is_some());
         enc.u64(self.tag_landing.unwrap_or(0));
-        enc.u64(self.tag_landing_cursor);
+        enc.u64(self.tag_ring.position());
         enc.bool(self.metadata_buf.is_some());
         enc.u64(self.metadata_buf.unwrap_or(0));
         enc.u64(self.mmio_seq);
@@ -288,7 +288,8 @@ impl TenantCtx {
         tags.restore_snapshot(dec)?;
         let has_tag_landing = dec.bool()?;
         let tag_landing = dec.u64()?;
-        let tag_landing_cursor = dec.u64()?;
+        let tag_ring = TagRing::at(dec.u64()?)
+            .ok_or(SnapshotError::Invalid("tag landing cursor past the ring"))?;
         let has_metadata_buf = dec.bool()?;
         let metadata_buf = dec.u64()?;
         let mmio_seq = dec.u64()?;
@@ -300,7 +301,7 @@ impl TenantCtx {
         self.params = params;
         self.tags = tags;
         self.tag_landing = has_tag_landing.then_some(tag_landing);
-        self.tag_landing_cursor = tag_landing_cursor;
+        self.tag_ring = tag_ring;
         self.metadata_buf = has_metadata_buf.then_some(metadata_buf);
         self.mmio_seq = mmio_seq;
         self.mmio_last_seq = mmio_last_seq;
@@ -709,7 +710,7 @@ impl PcieSc {
             regs::TAG_LANDING_ADDR => {
                 let ctx = &mut self.tenants[tenant];
                 ctx.tag_landing = Some(read_u64(payload));
-                ctx.tag_landing_cursor = 0;
+                ctx.tag_ring = TagRing::default();
             }
             regs::METADATA_BUF_ADDR => {
                 self.tenants[tenant].metadata_buf = Some(read_u64(payload));
@@ -736,7 +737,7 @@ impl PcieSc {
                     if let Some(buf) = ctx.metadata_buf {
                         let mut batch = Vec::with_capacity(16);
                         batch.extend_from_slice(&chunks.to_be_bytes());
-                        batch.extend_from_slice(&ctx.tag_landing_cursor.to_be_bytes());
+                        batch.extend_from_slice(&ctx.tag_ring.position().to_be_bytes());
                         self.pending_host_writes.push(Tlp::memory_write(
                             self.config.sc_bdf,
                             buf,
@@ -779,7 +780,7 @@ impl PcieSc {
             regs::METADATA_QUERY => {
                 // Non-optimized path: the Adaptor polls this per chunk.
                 self.counters.metadata_queries += 1;
-                self.tenants[tenant].tag_landing_cursor
+                self.tenants[tenant].tag_ring.position()
             }
             regs::CTRL_SEQ_ACK => self.tenants[tenant].ctrl_last_seq,
             // Read-back targets so the Adaptor can verify that address
@@ -817,6 +818,18 @@ impl PcieSc {
         let base = u64::from_be_bytes(payload[5..13].try_into().expect("8B"));
         let len = u64::from_be_bytes(payload[13..21].try_into().expect("8B"));
         let base_seq = u64::from_be_bytes(payload[21..29].try_into().expect("8B"));
+        if direction == StreamDirection::DeviceToHost {
+            // A transfer whose tags would lap the landing ring is never
+            // armed: its writes find no stream and are blocked (A1).
+            if let Err(overflow) = TagRing::check(len.div_ceil(CHUNK_SIZE)) {
+                self.alerts.push(ScAlert::CryptFailure {
+                    stream: stream.0,
+                    seq: 0,
+                    reason: overflow.to_string(),
+                });
+                return;
+            }
+        }
         self.tenants[tenant]
             .params
             .register_stream(stream, direction, base..base + len, base_seq);
@@ -1008,8 +1021,8 @@ impl PcieSc {
         let ctx = &mut self.tenants[tenant];
         if let Some(landing) = ctx.tag_landing {
             let record = TagRecord { stream: chunk.stream, seq: chunk.seq, tag };
-            let addr = landing + ctx.tag_landing_cursor * crate::handler::TAG_RECORD_LEN as u64;
-            ctx.tag_landing_cursor += 1;
+            let slot = ctx.tag_ring.reserve(1).expect("one record fits the ring");
+            let addr = TagRing::slot_addr(landing, slot);
             outcome.forward.push(Tlp::memory_write(
                 self.config.sc_bdf,
                 addr,
@@ -1839,6 +1852,82 @@ mod tests {
         assert_eq!(outcome.forward[1].header().address(), Some(0x9_0000));
         assert_eq!(outcome.forward[1].payload().len(), crate::handler::TAG_RECORD_LEN);
         assert_eq!(sc.counters().chunks_encrypted, 1);
+    }
+
+    #[test]
+    fn d2h_tag_landing_cursor_wraps_at_the_ring() {
+        use crate::handler::{TAG_RECORD_LEN, TAG_RING_RECORDS};
+        let mut sc = sc_with_policy();
+        sc.tenants[0].params.register_stream(
+            StreamId(2),
+            StreamDirection::DeviceToHost,
+            0x2_0000..0x4_0000,
+            0,
+        );
+        let landing = 0x9_0000;
+        sc.tenants[0].tag_landing = Some(landing);
+        sc.tenants[0].tag_ring = TagRing::at(TAG_RING_RECORDS - 2).unwrap();
+        let mut slots = Vec::new();
+        for i in 0..4u64 {
+            let write = Tlp::memory_write(xpu(), 0x2_0000 + i * CHUNK_SIZE, vec![0xA1; 64]);
+            let outcome = sc.on_upstream(write);
+            assert_eq!(outcome.forward.len(), 2, "ciphertext + tag record");
+            slots.push(outcome.forward[1].header().address().unwrap());
+        }
+        let slot = |i: u64| landing + i * TAG_RECORD_LEN as u64;
+        let last = TAG_RING_RECORDS - 1;
+        assert_eq!(slots, [slot(last - 1), slot(last), slot(0), slot(1)]);
+        assert_eq!(sc.tenants[0].tag_ring.position(), 2);
+        // The last slot still ends inside the landing buffer.
+        assert!(slot(last) + TAG_RECORD_LEN as u64 <= landing + crate::handler::TAG_LANDING_LEN);
+    }
+
+    #[test]
+    fn d2h_stream_larger_than_the_tag_ring_is_refused() {
+        use crate::handler::TAG_RING_RECORDS;
+        let mut sc = sc_with_policy();
+        let record = |stream: u32, len: u64| {
+            let mut r = Vec::with_capacity(STREAM_MAP_RECORD_LEN);
+            r.extend_from_slice(&stream.to_be_bytes());
+            r.push(1); // DeviceToHost
+            r.extend_from_slice(&0x100_0000u64.to_be_bytes());
+            r.extend_from_slice(&len.to_be_bytes());
+            r.extend_from_slice(&0u64.to_be_bytes());
+            r
+        };
+        sc.register_stream_record(0, &record(7, TAG_RING_RECORDS * CHUNK_SIZE));
+        assert!(sc.tenants[0].params.key(StreamId(7)).is_ok(), "a full ring still fits");
+        sc.register_stream_record(0, &record(8, TAG_RING_RECORDS * CHUNK_SIZE + 1));
+        assert!(sc.tenants[0].params.key(StreamId(8)).is_err(), "one chunk more is refused");
+        assert!(matches!(
+            sc.alerts().last().unwrap(),
+            ScAlert::CryptFailure { stream: 8, reason, .. } if reason.contains("tag ring")
+        ));
+    }
+
+    #[test]
+    fn snapshot_with_tag_cursor_past_the_ring_is_rejected() {
+        use crate::handler::TAG_RING_RECORDS;
+        let ctx = TenantCtx::new(tvm(), xpu(), [3; 32]);
+        let mut enc = ccai_sim::snapshot::Encoder::new();
+        ctx.encode_snapshot(&mut enc);
+        let good = enc.finish();
+        let mut fresh = TenantCtx::new(tvm(), xpu(), [3; 32]);
+        let mut dec = ccai_sim::snapshot::Decoder::new(&good[4..]);
+        assert!(fresh.restore_snapshot(&mut dec).is_ok());
+
+        let mut bad_ctx = TenantCtx::new(tvm(), xpu(), [3; 32]);
+        bad_ctx.tag_ring = TagRing::at(TAG_RING_RECORDS - 1).unwrap();
+        let mut enc = ccai_sim::snapshot::Encoder::new();
+        bad_ctx.encode_snapshot(&mut enc);
+        let mut bytes = enc.finish();
+        let at = bytes
+            .windows(8)
+            .position(|w| w == (TAG_RING_RECORDS - 1).to_le_bytes())
+            .expect("cursor encoded");
+        bytes[at..at + 8].copy_from_slice(&TAG_RING_RECORDS.to_le_bytes());
+        let mut dec = ccai_sim::snapshot::Decoder::new(&bytes[4..]);
+        assert!(fresh.restore_snapshot(&mut dec).is_err());
     }
 
     #[test]

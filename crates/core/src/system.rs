@@ -172,7 +172,9 @@ impl ConfidentialSystem {
 
         let mut memory = GuestMemory::new(layout::GUEST_MEMORY);
         memory.share_range(layout::STAGING_BASE..layout::STAGING_BASE + layout::STAGING_LEN);
-        memory.share_range(layout::TAG_LANDING..layout::TAG_LANDING + 0x10_0000);
+        memory.share_range(
+            layout::TAG_LANDING..layout::TAG_LANDING + crate::handler::TAG_LANDING_LEN,
+        );
         memory.share_range(layout::METADATA_BUF..layout::METADATA_BUF + 0x1_0000);
 
         let identity_stager = IdentityStager::new(layout::STAGING_BASE, layout::STAGING_LEN);

@@ -24,15 +24,18 @@ pub fn hmac_sha256(key: &[u8], data: &[u8]) -> Digest {
         key_block[..key.len()].copy_from_slice(key);
     }
 
+    let mut pad = key_block.map(|b| b ^ 0x36);
     let mut inner = Sha256::new();
-    let ipad: Vec<u8> = key_block.iter().map(|b| b ^ 0x36).collect();
-    inner.update(&ipad);
+    inner.update(&pad);
     inner.update(data);
     let inner_hash = inner.finalize();
 
+    // ipad -> opad in place: both pads live on the stack.
+    for b in &mut pad {
+        *b ^= 0x36 ^ 0x5c;
+    }
     let mut outer = Sha256::new();
-    let opad: Vec<u8> = key_block.iter().map(|b| b ^ 0x5c).collect();
-    outer.update(&opad);
+    outer.update(&pad);
     outer.update(inner_hash.as_bytes());
     outer.finalize()
 }
@@ -45,10 +48,24 @@ pub fn hmac_sha256(key: &[u8], data: &[u8]) -> Digest {
 ///
 /// Panics if `out_len > 255 * 32` (the HKDF limit).
 pub fn hkdf(salt: &[u8], ikm: &[u8], info: &[u8], out_len: usize) -> Vec<u8> {
+    hkdf_expand(&hkdf_extract(salt, ikm), info, out_len)
+}
+
+/// RFC 5869 HKDF-Extract: the pseudorandom key `HMAC(salt, ikm)`.
+/// Callers deriving many keys from one secret extract once and expand
+/// per key.
+pub fn hkdf_extract(salt: &[u8], ikm: &[u8]) -> [u8; 32] {
+    *hmac_sha256(salt, ikm).as_bytes()
+}
+
+/// RFC 5869 HKDF-Expand: `out_len` bytes of keying material from the
+/// pseudorandom key `prk` for context `info`.
+///
+/// # Panics
+///
+/// Panics if `out_len > 255 * 32` (the HKDF limit).
+pub fn hkdf_expand(prk: &[u8; 32], info: &[u8], out_len: usize) -> Vec<u8> {
     assert!(out_len <= 255 * 32, "HKDF output too long");
-    // Extract
-    let prk = hmac_sha256(salt, ikm);
-    // Expand
     let mut okm = Vec::with_capacity(out_len);
     let mut t: Vec<u8> = Vec::new();
     let mut counter = 1u8;
@@ -56,7 +73,7 @@ pub fn hkdf(salt: &[u8], ikm: &[u8], info: &[u8], out_len: usize) -> Vec<u8> {
         let mut msg = t.clone();
         msg.extend_from_slice(info);
         msg.push(counter);
-        let block = hmac_sha256(prk.as_bytes(), &msg);
+        let block = hmac_sha256(prk, &msg);
         t = block.as_bytes().to_vec();
         okm.extend_from_slice(&t);
         counter = counter.checked_add(1).expect("HKDF counter overflow");
@@ -117,34 +134,54 @@ mod tests {
         );
     }
 
-    /// RFC 5869 test case 1.
+    /// Checks one RFC 5869 appendix A case through both the one-shot
+    /// `hkdf` and the split extract/expand pair.
+    fn rfc5869_case(salt: &[u8], ikm: &[u8], info: &[u8], prk: &str, okm: &str) {
+        let want = hex(okm);
+        assert_eq!(hkdf_extract(salt, ikm).to_vec(), hex(prk));
+        assert_eq!(hkdf(salt, ikm, info, want.len()), want);
+        assert_eq!(hkdf_expand(&hkdf_extract(salt, ikm), info, want.len()), want);
+    }
+
+    /// RFC 5869 A.1: basic test case.
     #[test]
     fn rfc5869_tc1() {
-        let okm = hkdf(
+        rfc5869_case(
             &hex("000102030405060708090a0b0c"),
             &[0x0b; 22],
             &hex("f0f1f2f3f4f5f6f7f8f9"),
-            42,
-        );
-        assert_eq!(
-            okm,
-            hex(
-                "3cb25f25faacd57a90434f64d0362f2a2d2d0a90cf1a5a4c5db02d56ecc4c5bf\
-                 34007208d5b887185865"
-            )
+            "077709362c2e32df0ddc3f0dc47bba6390b6c73bb50f9c3122ec844ad7c2b3e5",
+            "3cb25f25faacd57a90434f64d0362f2a2d2d0a90cf1a5a4c5db02d56ecc4c5bf\
+             34007208d5b887185865",
         );
     }
 
-    /// RFC 5869 test case 3: zero-length salt and info.
+    /// RFC 5869 A.2: 80-byte salt, IKM and info (multi-block HMAC input,
+    /// three expand rounds).
+    #[test]
+    fn rfc5869_tc2() {
+        let seq = |start: u8| (0..80).map(|i| start + i).collect::<Vec<u8>>();
+        rfc5869_case(
+            &seq(0x60),
+            &seq(0x00),
+            &seq(0xb0),
+            "06a6b88c5853361a06104c9ceb35b45cef760014904671014a193f40c15fc244",
+            "b11e398dc80327a1c8e7f78c596a49344f012eda2d4efad8a050cc4c19afa97c\
+             59045a99cac7827271cb41c65e590e09da3275600c2f09b8367793a9aca3db71\
+             cc30c58179ec3e87c14c01d5c1f3434f1d87",
+        );
+    }
+
+    /// RFC 5869 A.3: zero-length salt and info.
     #[test]
     fn rfc5869_tc3() {
-        let okm = hkdf(&[], &[0x0b; 22], &[], 42);
-        assert_eq!(
-            okm,
-            hex(
-                "8da4e775a563c18f715f802a063c5a31b8a11f5c5ee1879ec3454e5f3c738d2d\
-                 9d201395faa4b61a96c8"
-            )
+        rfc5869_case(
+            &[],
+            &[0x0b; 22],
+            &[],
+            "19ef24a32c717b167f33a91d6f648bdf96596776afdb6377ac434c1c293ccb04",
+            "8da4e775a563c18f715f802a063c5a31b8a11f5c5ee1879ec3454e5f3c738d2d\
+             9d201395faa4b61a96c8",
         );
     }
 

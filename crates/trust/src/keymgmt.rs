@@ -7,7 +7,7 @@
 //! exchanging a new key)"; at task termination both sides destroy their
 //! copies.
 
-use ccai_crypto::{hkdf, IvManager, IvStatus, Key};
+use ccai_crypto::{hkdf_expand, hkdf_extract, IvManager, IvStatus, Key};
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 use std::fmt;
@@ -51,7 +51,9 @@ struct StreamState {
 /// secret. Both the Adaptor and the PCIe-SC hold one of these, seeded
 /// identically, so their key schedules agree without further traffic.
 pub struct WorkloadKeyManager {
-    master: [u8; 32],
+    /// HKDF-Extract of the master secret, computed once: every stream key
+    /// is an HKDF-Expand of it. The master itself is not kept.
+    prk: [u8; 32],
     streams: HashMap<StreamId, StreamState>,
     rotations: u64,
     destroyed: bool,
@@ -70,7 +72,12 @@ impl fmt::Debug for WorkloadKeyManager {
 impl WorkloadKeyManager {
     /// Creates a manager from the post-attestation shared secret.
     pub fn new(master: [u8; 32]) -> Self {
-        WorkloadKeyManager { master, streams: HashMap::new(), rotations: 0, destroyed: false }
+        WorkloadKeyManager {
+            prk: hkdf_extract(b"ccai-workload-keys", &master),
+            streams: HashMap::new(),
+            rotations: 0,
+            destroyed: false,
+        }
     }
 
     /// Provisions a stream with an IV budget (`iv_limit`); both ends must
@@ -93,7 +100,7 @@ impl WorkloadKeyManager {
         info.extend_from_slice(b"stream");
         info.extend_from_slice(&id.0.to_be_bytes());
         info.extend_from_slice(&generation.to_be_bytes());
-        let okm = hkdf(b"ccai-workload-keys", &self.master, &info, 16);
+        let okm = hkdf_expand(&self.prk, &info, 16);
         Key::from_bytes(&okm).expect("16-byte key")
     }
 
@@ -167,7 +174,7 @@ impl WorkloadKeyManager {
     /// the PCIe-SC securely destroy shared symmetric keys").
     pub fn destroy(&mut self) {
         self.streams.clear();
-        self.master = [0u8; 32];
+        self.prk = [0u8; 32];
         self.destroyed = true;
     }
 
@@ -336,6 +343,21 @@ mod tests {
         let mut m = manager();
         m.destroy();
         m.provision_stream(StreamId(1), 10);
+    }
+
+    /// Extracting once in `new` must not change a single key byte: every
+    /// stream key equals the one-shot HKDF over the master.
+    #[test]
+    fn stream_keys_match_one_shot_hkdf_of_the_master() {
+        let master = [0x33; 32];
+        let mut m = WorkloadKeyManager::new(master);
+        m.provision_stream(StreamId(5), 10);
+        m.rotate(StreamId(5)).unwrap();
+        let mut info = b"stream".to_vec();
+        info.extend_from_slice(&5u32.to_be_bytes());
+        info.extend_from_slice(&1u32.to_be_bytes());
+        let okm = ccai_crypto::hkdf(b"ccai-workload-keys", &master, &info, 16);
+        assert_eq!(m.stream_key(StreamId(5)).unwrap(), &Key::from_bytes(&okm).unwrap());
     }
 
     #[test]

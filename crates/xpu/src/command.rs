@@ -124,6 +124,9 @@ impl CommandProcessor {
         self.status
     }
 
+    /// Runs the surrogate kernel in place: the weight digest comes from
+    /// device memory's resident-range memo (hashed once per load), the
+    /// input is hashed where it lies.
     fn run_inference(
         &self,
         input: u64,
@@ -132,19 +135,24 @@ impl CommandProcessor {
         memory: &mut DeviceMemory,
     ) -> Result<(), ()> {
         let (model_addr, model_len) = self.model.ok_or(())?;
-        let input_bytes = memory.read(input, len).map_err(|_| ())?;
-        let weights = memory.read(model_addr, model_len).map_err(|_| ())?;
-        let result = Self::surrogate_inference(&weights, &input_bytes);
+        let input_digest = memory.hash_range(input, len).map_err(|_| ())?;
+        let weights_digest = memory.digest_range(model_addr, model_len).map_err(|_| ())?;
+        let result = Self::surrogate_mix(&weights_digest, &input_digest);
         memory.write(output, &result).map_err(|_| ())
     }
 
     /// The deterministic surrogate computation, also callable host-side
     /// for verification: `H(H(weights) ‖ H(input) ‖ "ccai-infer")`.
     pub fn surrogate_inference(weights: &[u8], input: &[u8]) -> [u8; 32] {
-        let mut data = Vec::with_capacity(74);
-        data.extend_from_slice(sha256(weights).as_bytes());
-        data.extend_from_slice(sha256(input).as_bytes());
-        data.extend_from_slice(b"ccai-infer");
+        Self::surrogate_mix(sha256(weights).as_bytes(), sha256(input).as_bytes())
+    }
+
+    /// The final step shared by the device and host paths.
+    fn surrogate_mix(weights_digest: &[u8; 32], input_digest: &[u8; 32]) -> [u8; 32] {
+        let mut data = [0u8; 74];
+        data[..32].copy_from_slice(weights_digest);
+        data[32..64].copy_from_slice(input_digest);
+        data[64..].copy_from_slice(b"ccai-infer");
         *sha256(&data).as_bytes()
     }
 
@@ -231,6 +239,31 @@ mod tests {
         let device_result = mem.read(0x3000, 32).unwrap();
         let host_predicted = CommandProcessor::surrogate_inference(b"weights", b"the input");
         assert_eq!(device_result, host_predicted);
+    }
+
+    #[test]
+    fn unchanged_model_is_hashed_once_across_inferences() {
+        let mut mem = DeviceMemory::new(1 << 20);
+        let weights = vec![0x5A; 200_000];
+        mem.write(0x1000, &weights).unwrap();
+        let mut cp = CommandProcessor::new();
+        cp.execute(Command::LoadModel { addr: 0x1000, len: weights.len() as u64 }, &mut mem);
+        for i in 0..8u8 {
+            mem.write(0xF_0000, &[i; 40]).unwrap();
+            let run = Command::RunInference { input: 0xF_0000, len: 40, output: 0xF_1000 };
+            assert_eq!(cp.execute(run, &mut mem), CmdStatus::Done);
+            assert_eq!(
+                mem.read(0xF_1000, 32).unwrap(),
+                CommandProcessor::surrogate_inference(&weights, &[i; 40])
+            );
+        }
+        assert_eq!(mem.range_hashes(), 1);
+        // Reloading over the same range re-hashes exactly once more.
+        mem.write(0x1000, &[0xA5]).unwrap();
+        let run = Command::RunInference { input: 0xF_0000, len: 40, output: 0xF_1000 };
+        cp.execute(run, &mut mem);
+        cp.execute(run, &mut mem);
+        assert_eq!(mem.range_hashes(), 2);
     }
 
     #[test]

@@ -72,6 +72,12 @@ impl std::error::Error for MemoryError {}
 /// Backing storage is allocated lazily in sparse 64 KiB chunks so an
 /// "80 GiB" A100 model does not actually reserve 80 GiB of host RAM.
 ///
+/// [`DeviceMemory::digest_range`] hashes a range in place and remembers
+/// the last result, so a model resident across many inferences is hashed
+/// once per load. The memo is host-side bookkeeping only: it is never
+/// serialized and the three mutators of the backing store — `write`,
+/// `wipe` and `restore_snapshot` — invalidate it.
+///
 /// # Example
 ///
 /// ```
@@ -89,9 +95,16 @@ pub struct DeviceMemory {
     next_free: u64,
     regions: BTreeMap<String, Region>,
     chunks: BTreeMap<u64, Vec<u8>>,
+    /// Last [`DeviceMemory::digest_range`] result: `(addr, len, digest)`.
+    memo: Option<(u64, u64, [u8; 32])>,
+    /// Range digests actually computed (memo misses).
+    range_hashes: u64,
 }
 
 const CHUNK: u64 = 64 * 1024;
+
+/// What a never-materialised chunk reads as.
+static ZERO_CHUNK: [u8; CHUNK as usize] = [0; CHUNK as usize];
 
 impl DeviceMemory {
     /// Creates device memory of `capacity` bytes.
@@ -106,6 +119,8 @@ impl DeviceMemory {
             next_free: 0,
             regions: BTreeMap::new(),
             chunks: BTreeMap::new(),
+            memo: None,
+            range_hashes: 0,
         }
     }
 
@@ -160,6 +175,7 @@ impl DeviceMemory {
         self.regions.clear();
         self.chunks.clear();
         self.next_free = 0;
+        self.memo = None;
     }
 
     /// SHA-256 digest of the memory *content*: every non-zero 64 KiB
@@ -195,6 +211,13 @@ impl DeviceMemory {
     /// [`MemoryError::OutOfBounds`] if the range exceeds capacity.
     pub fn write(&mut self, addr: u64, data: &[u8]) -> Result<(), MemoryError> {
         self.check(addr, data.len() as u64)?;
+        let end = addr + data.len() as u64;
+        if self
+            .memo
+            .is_some_and(|(base, len, _)| addr < end && addr < base + len && base < end)
+        {
+            self.memo = None;
+        }
         let mut offset = 0usize;
         while offset < data.len() {
             let pos = addr + offset as u64;
@@ -231,6 +254,49 @@ impl DeviceMemory {
             offset += take;
         }
         Ok(out)
+    }
+
+    /// SHA-256 of `[addr, addr+len)`, computed in place over the chunk
+    /// map (never-written chunks hash as zeros) and remembered until a
+    /// mutation could change it. Equal to `sha256(&self.read(addr, len)?)`.
+    ///
+    /// # Errors
+    ///
+    /// [`MemoryError::OutOfBounds`] if the range exceeds capacity.
+    pub fn digest_range(&mut self, addr: u64, len: u64) -> Result<[u8; 32], MemoryError> {
+        if let Some((base, memo_len, digest)) = self.memo {
+            if (base, memo_len) == (addr, len) {
+                return Ok(digest);
+            }
+        }
+        let digest = self.hash_range(addr, len)?;
+        self.memo = Some((addr, len, digest));
+        self.range_hashes += 1;
+        Ok(digest)
+    }
+
+    /// SHA-256 of `[addr, addr+len)` computed in place, without touching
+    /// the [`DeviceMemory::digest_range`] memo.
+    pub(crate) fn hash_range(&self, addr: u64, len: u64) -> Result<[u8; 32], MemoryError> {
+        self.check(addr, len)?;
+        let mut hasher = ccai_crypto::Sha256::new();
+        let end = addr + len;
+        let mut pos = addr;
+        while pos < end {
+            let chunk_base = pos / CHUNK * CHUNK;
+            let within = (pos - chunk_base) as usize;
+            let take = ((chunk_base + CHUNK).min(end) - pos) as usize;
+            let chunk = self.chunks.get(&chunk_base).map_or(&ZERO_CHUNK[..], Vec::as_slice);
+            hasher.update(&chunk[within..within + take]);
+            pos += take as u64;
+        }
+        Ok(*hasher.finalize().as_bytes())
+    }
+
+    /// Range digests [`DeviceMemory::digest_range`] has computed rather
+    /// than answered from its memo.
+    pub fn range_hashes(&self) -> u64 {
+        self.range_hashes
     }
 
     /// True if every byte of backing storage is zero — used by tests to
@@ -303,6 +369,7 @@ impl DeviceMemory {
         self.next_free = next_free;
         self.regions = regions;
         self.chunks = chunks;
+        self.memo = None;
         Ok(())
     }
 }
@@ -383,6 +450,97 @@ mod tests {
         assert_eq!(mem.allocated(), 0);
         assert!(mem.region("secret").is_none());
         assert_eq!(mem.read(r.base, 64).unwrap(), vec![0; 64]);
+    }
+
+    fn snapshot_of(mem: &DeviceMemory) -> Vec<u8> {
+        let mut enc = ccai_sim::snapshot::Encoder::new();
+        mem.encode_snapshot(&mut enc);
+        enc.finish()
+    }
+
+    #[test]
+    fn digest_range_memo_survives_disjoint_and_adjacent_writes() {
+        let mut mem = DeviceMemory::new(4 * CHUNK);
+        let (base, len) = (CHUNK - 100, 300);
+        mem.write(base, &[5; 300]).unwrap();
+        let digest = mem.digest_range(base, len).unwrap();
+        assert_eq!(digest, *ccai_crypto::sha256(&[5; 300]).as_bytes());
+        // Touching either neighbour byte, or writing nothing, keeps the memo.
+        mem.write(base - 4, &[1; 4]).unwrap();
+        mem.write(base + len, &[1; 4]).unwrap();
+        mem.write(base + 10, &[]).unwrap();
+        assert_eq!(mem.digest_range(base, len).unwrap(), digest);
+        assert_eq!(mem.range_hashes(), 1);
+        // One overlapping byte at either end drops it.
+        mem.write(base - 1, &[9; 2]).unwrap();
+        assert_ne!(mem.digest_range(base, len).unwrap(), digest);
+        mem.write(base + len - 1, &[9]).unwrap();
+        mem.digest_range(base, len).unwrap();
+        assert_eq!(mem.range_hashes(), 3);
+    }
+
+    #[test]
+    fn digest_range_rejects_out_of_bounds() {
+        let mut mem = DeviceMemory::new(CHUNK);
+        assert!(matches!(
+            mem.digest_range(CHUNK - 1, 2),
+            Err(MemoryError::OutOfBounds { .. })
+        ));
+        assert!(matches!(mem.digest_range(u64::MAX, 2), Err(MemoryError::OutOfBounds { .. })));
+        assert_eq!(mem.range_hashes(), 0);
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(48))]
+
+        /// Differential oracle for the resident-range memo: after any
+        /// interleaving of writes (overlapping, adjacent, straddling chunk
+        /// edges, into never-materialised chunks), wipes, snapshot
+        /// restores and clones, `digest_range` equals `sha256(read(..))`.
+        #[test]
+        fn digest_range_matches_read_then_hash(
+            ops in proptest::collection::vec(
+                (0u8..8, 0usize..6, 0u64..6000, 0usize..9000, proptest::prelude::any::<u8>()),
+                1..40,
+            ),
+        ) {
+            // The tracked range straddles the first chunk edge and ends in
+            // a chunk that is only materialised if a write reaches it.
+            let (base, len) = (CHUNK - 3000, CHUNK + 5000);
+            let anchors = [0, base, CHUNK, base + len, 2 * CHUNK, 3 * CHUNK + 17];
+            let mut mem = DeviceMemory::new(4 * CHUNK);
+            let mut saved = snapshot_of(&mem);
+            for (kind, anchor, jitter, size, fill) in ops {
+                match kind {
+                    0..=3 => {
+                        // Write near an anchor: below it for even jitter,
+                        // from it for odd, clipped to capacity.
+                        let at = if jitter % 2 == 0 {
+                            anchors[anchor].saturating_sub(jitter)
+                        } else {
+                            anchors[anchor] + jitter
+                        }
+                        .min(mem.capacity());
+                        let size = size.min((mem.capacity() - at) as usize);
+                        mem.write(at, &vec![fill; size]).unwrap();
+                    }
+                    4 => mem.wipe(),
+                    5 => saved = snapshot_of(&mem),
+                    6 => {
+                        let mut dec = ccai_sim::snapshot::Decoder::new(&saved);
+                        mem.restore_snapshot(&mut dec).unwrap();
+                    }
+                    _ => mem = mem.clone(),
+                }
+                let expected = *ccai_crypto::sha256(&mem.read(base, len).unwrap()).as_bytes();
+                proptest::prop_assert_eq!(mem.digest_range(base, len).unwrap(), expected);
+                let (a, l) = (anchors[anchor], jitter);
+                if a + l <= mem.capacity() {
+                    let plain = *ccai_crypto::sha256(&mem.read(a, l).unwrap()).as_bytes();
+                    proptest::prop_assert_eq!(mem.hash_range(a, l).unwrap(), plain);
+                }
+            }
+        }
     }
 
     #[test]

@@ -489,6 +489,44 @@ mod tests {
     }
 
     #[test]
+    fn vf_inference_sees_weights_rewritten_through_its_window() {
+        let (mut fabric, _mem, xpu) = setup();
+        let (win, reg_base) = (xpu.vf_bar1(1), xpu.vf_bar0(1));
+        let regs = xpu.vf_registers(1).clone();
+        attach(&mut fabric, xpu);
+        let wr = |fabric: &mut Fabric, reg: Reg, value: u64| {
+            fabric.host_request(Tlp::memory_write(
+                host(),
+                reg_base + regs.offset(reg),
+                value.to_le_bytes().to_vec(),
+            ));
+        };
+        let mut weights = vec![0x3C; 4000];
+        let input = b"vf prompt".to_vec();
+        fabric.host_request(Tlp::memory_write(host(), win + 0x1000, weights.clone()));
+        fabric.host_request(Tlp::memory_write(host(), win + 0x4000, input.clone()));
+        wr(&mut fabric, Reg::CmdArg0, 0x1000);
+        wr(&mut fabric, Reg::CmdArg1, weights.len() as u64);
+        wr(&mut fabric, Reg::CmdDoorbell, 1);
+        for round in 0..3 {
+            if round == 2 {
+                weights[3999] = 0xC3;
+                fabric.host_request(Tlp::memory_write(host(), win + 0x1000 + 3999, vec![0xC3]));
+            }
+            wr(&mut fabric, Reg::CmdArg0, 0x4000);
+            wr(&mut fabric, Reg::CmdArg1, input.len() as u64);
+            wr(&mut fabric, Reg::CmdArg2, 0x6000);
+            wr(&mut fabric, Reg::CmdDoorbell, 2);
+            let result = fabric.host_request(Tlp::memory_read(host(), win + 0x6000, 32, 7));
+            assert_eq!(
+                result[0].payload(),
+                CommandProcessor::surrogate_inference(&weights, &input),
+                "round {round}"
+            );
+        }
+    }
+
+    #[test]
     #[should_panic(expected = "1-7 virtual functions")]
     fn zero_vfs_rejected() {
         let _ = PartitionedXpu::new(XpuSpec::a100(), Bdf::new(0x17, 0, 0), 0x8000_0000, 0);
